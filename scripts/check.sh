@@ -28,6 +28,9 @@
 # DXREC_CHECK_OBS_OVERHEAD=1 additionally gates the obs+profiler
 # overhead at 3% of the obs-off bench_e8 median.
 #
+# Always runs the perfbench harness self-tests (perfbench/tests: the
+# benchmark's generators, percentiles and span arithmetic).
+#
 # Also enforces source-level invariants (budget failures must go through
 # obs::BudgetExhausted) and, with DXREC_CHECK_BENCH=1, records a
 # bench_e8 perf snapshot under bench_history/ and diffs it against the
@@ -66,6 +69,10 @@ if [ -n "$offenders" ]; then
   exit 1
 fi
 echo "ok"
+
+# The benchmark harness's own self-tests: pure Python, no build needed.
+echo "=== perfbench harness self-tests ==="
+python3 -m unittest discover -s perfbench/tests
 
 for preset in "${presets[@]}"; do
   echo "=== [$preset] configure ==="

@@ -7,10 +7,9 @@ NullSource& FreshNulls() {
   return source;
 }
 
-Term FreshVariable(const std::string& prefix) {
+Term FreshVariable() {
   static std::atomic<uint64_t>& counter = *new std::atomic<uint64_t>(0);
-  uint64_t n = counter.fetch_add(1);
-  return Term::Variable("$" + prefix + std::to_string(n));
+  return Term::FreshVariable(counter.fetch_add(1));
 }
 
 }  // namespace dxrec

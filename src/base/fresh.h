@@ -33,9 +33,12 @@ class NullSource {
 // The process-wide null source used by default throughout the library.
 NullSource& FreshNulls();
 
-// Hands out fresh variables named "<prefix><n>" that are guaranteed not to
-// collide with other FreshVariable calls (a process-wide counter feeds n).
-Term FreshVariable(const std::string& prefix = "v");
+// Hands out a fresh variable "$<n>", distinct from every parsed variable
+// and from the last 2^31 - 1 fresh ones (a process-wide counter feeds n).
+// Fresh variables are not interned, so renaming apart (done per call by
+// the subsumption, composition and recovery-mapping constructions) does
+// not grow the symbol table.
+Term FreshVariable();
 
 }  // namespace dxrec
 

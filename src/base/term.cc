@@ -14,11 +14,21 @@ Term Term::Variable(std::string_view name) {
 
 Term Term::Null(uint32_t label) { return Term(TermKind::kNull, label); }
 
+Term Term::FreshVariable(uint64_t serial) {
+  return Term(TermKind::kVariable,
+              kFirstFreshVariableId +
+                  static_cast<uint32_t>(
+                      serial % (kInvalidId - kFirstFreshVariableId)));
+}
+
 std::string Term::ToString() const {
   switch (kind_) {
     case TermKind::kConstant:
       return Symbols().constants.Name(id_);
     case TermKind::kVariable:
+      if (id_ >= kFirstFreshVariableId) {
+        return "$" + std::to_string(id_ - kFirstFreshVariableId);
+      }
       return Symbols().variables.Name(id_);
     case TermKind::kNull:
       return "_N" + std::to_string(id_);

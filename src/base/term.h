@@ -35,6 +35,10 @@ class Term {
   // A labeled null with the given label. Fresh labels come from
   // FreshNulls() (base/fresh.h).
   static Term Null(uint32_t label);
+  // A variable that is never interned: serial n (taken modulo 2^31 - 1)
+  // names an id above every interned one, so fresh variables
+  // (base/fresh.h) add no symbol-table entry. Renders as "$<n>".
+  static Term FreshVariable(uint64_t serial);
 
   static Term FromIds(TermKind kind, uint32_t id) { return Term(kind, id); }
 
@@ -65,6 +69,7 @@ class Term {
 
  private:
   static constexpr uint32_t kInvalidId = 0xffffffffu;
+  static constexpr uint32_t kFirstFreshVariableId = 0x80000000u;
 
   Term(TermKind kind, uint32_t id) : kind_(kind), id_(id) {}
 

@@ -46,25 +46,29 @@ void FlushSearchCounters(uint64_t candidates_tried, uint64_t backtracks,
 
 // Greedy static atom order shared by both matchers: repeatedly pick the
 // atom with the most terms that are constants or already-bound
-// placeholders. The greedy selection is quadratic in the pattern size,
+// placeholders (`is_bound` reports the placeholders seeded before the
+// search starts). The greedy selection is quadratic in the pattern size,
 // so very large patterns (e.g. whole-instance containment checks) fall
 // back to insertion order -- their atoms are mostly ground and
-// candidate lists are index-driven anyway. Both layouts must call this
-// with the same bound set so they explore in the same order.
-std::vector<size_t> ChooseAtomOrder(
-    const std::vector<Atom>& pattern, bool map_nulls,
-    const std::unordered_set<Term, TermHash>& bound) {
+// candidate lists are index-driven anyway. A pattern of at most one atom
+// has a single order and skips the scoring. Both layouts must call this
+// with the same bound placeholders so they explore in the same order.
+template <typename IsBound>
+std::vector<size_t> ChooseAtomOrder(const std::vector<Atom>& pattern,
+                                    bool map_nulls, const IsBound& is_bound) {
   const auto is_placeholder = [map_nulls](Term t) {
     return t.is_variable() || (map_nulls && t.is_null());
   };
-  if (pattern.size() > 192) {
+  if (pattern.size() <= 1 || pattern.size() > 192) {
     std::vector<size_t> order(pattern.size());
     for (size_t i = 0; i < order.size(); ++i) order[i] = i;
     return order;
   }
   std::vector<size_t> order;
+  order.reserve(pattern.size());
   std::vector<bool> chosen(pattern.size(), false);
-  std::unordered_set<Term, TermHash> seen = bound;
+  // Placeholders bound by the atoms chosen so far.
+  std::unordered_set<Term, TermHash> seen;
   for (size_t step = 0; step < pattern.size(); ++step) {
     size_t best = pattern.size();
     int best_score = -1;
@@ -72,7 +76,7 @@ std::vector<size_t> ChooseAtomOrder(
       if (chosen[i]) continue;
       int score = 0;
       for (Term t : pattern[i].args()) {
-        if (!is_placeholder(t) || seen.count(t) > 0) ++score;
+        if (!is_placeholder(t) || is_bound(t) || seen.count(t) > 0) ++score;
       }
       if (score > best_score) {
         best_score = score;
@@ -249,12 +253,9 @@ class Matcher {
   // Fixed-seeded placeholders feed the shared greedy ordering, so the
   // chosen order matches the columnar matcher's for the same inputs.
   std::vector<size_t> ChooseOrder() const {
-    std::unordered_set<Term, TermHash> bound;
-    for (const auto& [from, to] : binding_) {
-      (void)to;
-      bound.insert(from);
-    }
-    return ChooseAtomOrder(pattern_, options_.map_nulls, bound);
+    return ChooseAtomOrder(pattern_, options_.map_nulls, [this](Term t) {
+      return binding_.count(t) > 0;
+    });
   }
 
   // Current image of a pattern term; invalid term if unbound placeholder.
@@ -602,11 +603,10 @@ class ColumnarMatcher {
   }
 
   std::vector<size_t> ChooseOrder() const {
-    std::unordered_set<Term, TermHash> bound;
-    for (size_t i = 0; i < slot_terms_.size(); ++i) {
-      if (slot_values_[i] != kUnbound) bound.insert(slot_terms_[i]);
-    }
-    return ChooseAtomOrder(pattern_, options_.map_nulls, bound);
+    return ChooseAtomOrder(pattern_, options_.map_nulls, [this](Term t) {
+      auto it = slot_of_.find(t);
+      return it != slot_of_.end() && slot_values_[it->second] != kUnbound;
+    });
   }
 
   // Tightest postings list among bound argument positions (every bound
@@ -948,6 +948,38 @@ std::optional<Substitution> FindIsomorphism(const Instance& a,
 
 bool AreIsomorphic(const Instance& a, const Instance& b) {
   return FindIsomorphism(a, b).has_value();
+}
+
+std::vector<size_t> IsomorphismRepresentatives(
+    const std::vector<Instance>& instances,
+    const std::vector<IsoInvariant>& invariants, size_t* iso_checks) {
+  std::vector<size_t> kept;
+  // Variable-free kept instances by invariant hash, in kept order.
+  std::unordered_map<uint64_t, std::vector<size_t>> buckets;
+  size_t checks = 0;
+  for (size_t i = 0; i < instances.size(); ++i) {
+    const IsoInvariant& invariant = invariants[i];
+    const std::vector<size_t>* scan = &kept;
+    if (!invariant.has_variables) {
+      auto it = buckets.find(invariant.hash);
+      scan = it == buckets.end() ? nullptr : &it->second;
+    }
+    bool duplicate = false;
+    if (scan != nullptr) {
+      for (size_t k : *scan) {
+        ++checks;
+        if (AreIsomorphic(instances[i], instances[k])) {
+          duplicate = true;
+          break;
+        }
+      }
+    }
+    if (duplicate) continue;
+    kept.push_back(i);
+    if (!invariant.has_variables) buckets[invariant.hash].push_back(i);
+  }
+  if (iso_checks != nullptr) *iso_checks = checks;
+  return kept;
 }
 
 }  // namespace dxrec

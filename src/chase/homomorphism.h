@@ -13,6 +13,7 @@
 #include "base/substitution.h"
 #include "relational/columnar.h"
 #include "relational/instance.h"
+#include "relational/instance_ops.h"
 #include "relational/tuple.h"
 
 namespace dxrec {
@@ -117,6 +118,21 @@ std::optional<Substitution> FindInstanceHomomorphism(
 std::optional<Substitution> FindIsomorphism(const Instance& a,
                                             const Instance& b);
 bool AreIsomorphic(const Instance& a, const Instance& b);
+
+// First-come representatives of `instances` under AreIsomorphic: the
+// indices i, ascending, such that AreIsomorphic(instances[i], instances[k])
+// holds for no earlier kept k. `invariants[i]` must be
+// IsomorphismInvariant(instances[i]). The search runs only where the
+// answer can be true: a variable-free instance is compared with the kept
+// instances of its own invariant bucket (it cannot map onto one that
+// contains variables, nor onto one with another invariant); an instance
+// with variables, which may map onto constants, is compared with every
+// kept instance. `iso_checks` (may be null) receives the number of
+// AreIsomorphic calls made.
+std::vector<size_t> IsomorphismRepresentatives(
+    const std::vector<Instance>& instances,
+    const std::vector<IsoInvariant>& invariants,
+    size_t* iso_checks = nullptr);
 
 }  // namespace dxrec
 

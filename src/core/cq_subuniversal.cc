@@ -100,23 +100,21 @@ Result<SubUniversalResult> ComputeCqSubUniversal(
 
     // Generalized instances per covering; collapse Def. 11-equivalent
     // coverings, which now coincide up to null renaming.
-    std::vector<Instance> representatives;
+    std::vector<Instance> generalized;
+    std::vector<IsoInvariant> invariants;
     for (const Cover& covering : *covers) {
       if (options.filter_covers_by_subsumption && covering.size() > 1) {
         std::vector<HeadHom> h_set;
         for (size_t idx : covering) h_set.push_back(homs[idx]);
         if (!ModelsAll(h_set, sub, sigma)) continue;
       }
-      Instance generalized =
-          GeneralizedSource(sigma, homs, covering, j_h, nulls);
-      bool duplicate = false;
-      for (const Instance& seen : representatives) {
-        if (AreIsomorphic(generalized, seen)) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (!duplicate) representatives.push_back(std::move(generalized));
+      generalized.push_back(
+          GeneralizedSource(sigma, homs, covering, j_h, nulls));
+      invariants.push_back(IsomorphismInvariant(generalized.back()));
+    }
+    std::vector<Instance> representatives;
+    for (size_t i : IsomorphismRepresentatives(generalized, invariants)) {
+      representatives.push_back(std::move(generalized[i]));
     }
     result.num_classes += representatives.size();
 

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "base/fresh.h"
 #include "chase/chase.h"
@@ -53,12 +53,16 @@ HomSearchResult BackHomomorphisms(const Instance& chased,
   return FindHomomorphismsChecked(chased.atoms(), target, options);
 }
 
-// A verified recovery candidate produced from one (cover, g) pair.
+// A verified recovery candidate produced from one (cover, g) pair, with
+// its dedup keys (computed in the verify slice, so in parallel when a
+// pool exists, leaving the sequential merge only the bucket lookups).
 struct VerifiedCandidate {
   size_t cover_index = 0;
   size_t g_index = 0;
   Instance recovery;
   std::optional<RecoveryExplanation> explanation;
+  uint64_t canonical_hash = 0;  // CanonicalHash(recovery)
+  IsoInvariant invariant;       // set when options.dedup_isomorphic
 };
 
 // Why a cover's g-homomorphism enumeration stopped early, if it did.
@@ -281,6 +285,7 @@ CoverOutcome ProcessCover(const DependencySet& sigma,
     // every search below it even on pool workers.
     obs::stats::ScopedSearch verify_scope(stats_on ? &slice.search
                                                    : nullptr);
+    slice.candidates.reserve(g_hi - g_lo);
     for (size_t g_index = g_lo; g_index < g_hi; ++g_index) {
       // Verification runs the exponential justification machinery per g;
       // stop between candidates so a trip keeps the ones already verified.
@@ -342,6 +347,10 @@ CoverOutcome ProcessCover(const DependencySet& sigma,
         }
         candidate.explanation = std::move(explanation);
       }
+      candidate.canonical_hash = CanonicalHash(recovery);
+      if (options.dedup_isomorphic) {
+        candidate.invariant = IsomorphismInvariant(recovery);
+      }
       candidate.recovery = std::move(recovery);
       slice.candidates.push_back(std::move(candidate));
     }
@@ -376,10 +385,20 @@ CoverOutcome ProcessCover(const DependencySet& sigma,
     outcome.num_rejected += slice.num_rejected;
     outcome.num_unverified += slice.num_unverified;
     if (stats_on) cstats.verify.Merge(slice.search);
-    for (VerifiedCandidate& candidate : slice.candidates) {
-      outcome.candidates.push_back(std::move(candidate));
+    // A lone slice (the sequential case) hands over its list whole.
+    if (outcome.candidates.empty()) {
+      outcome.candidates = std::move(slice.candidates);
+    } else {
+      outcome.candidates.insert(
+          outcome.candidates.end(),
+          std::make_move_iterator(slice.candidates.begin()),
+          std::make_move_iterator(slice.candidates.end()));
     }
   }
+  // The g list and the slices are step 7's working set: free them inside
+  // its time rather than after the phase clocks stop.
+  slices.clear();
+  std::vector<Substitution>().swap(gs);
   outcome.seconds_verify = phase_sw.ElapsedSeconds();
   verify_span.AddArg("candidates", static_cast<int64_t>(outcome.num_candidates));
   verify_span.AddArg("rejected", static_cast<int64_t>(outcome.num_rejected));
@@ -425,6 +444,9 @@ std::string InverseChaseStats::ToString() const {
          " candidates=" + std::to_string(num_recoveries_before_dedup) +
          " rejected=" + std::to_string(num_candidates_rejected) +
          " unverified=" + std::to_string(num_candidates_unverified) +
+         " dedup_exact=" + std::to_string(num_dedup_exact) +
+         " dedup_iso=" + std::to_string(num_dedup_isomorphic) +
+         " iso_checks=" + std::to_string(num_iso_checks) +
          " | ms: hom=" + Ms(seconds_hom_enum) +
          " cov=" + Ms(seconds_cover_enum) +
          " sub=" + Ms(seconds_subsumption) +
@@ -690,12 +712,23 @@ Status RunInverseChase(const DependencySet& sigma, const Instance& target,
       result.stats.num_covers_yielding_recoveries++;
     }
   }
-  std::set<std::string> seen_exact;
+  // Exact dedup, first in cover then g order wins: CanonicalHash buckets
+  // the kept recoveries (indices into result.recoveries) and
+  // SameCanonicalForm decides within a bucket.
+  std::unordered_map<uint64_t, std::vector<size_t>> seen_exact;
+  std::vector<IsoInvariant> invariants;  // parallel to result.recoveries
   bool merge_truncated = false;
   for (CoverOutcome& outcome : outcomes) {
     for (VerifiedCandidate& candidate : outcome.candidates) {
-      std::string key = CanonicalString(candidate.recovery);
-      if (!seen_exact.insert(key).second) {
+      std::vector<size_t>& bucket = seen_exact[candidate.canonical_hash];
+      const bool duplicate =
+          std::any_of(bucket.begin(), bucket.end(), [&](size_t k) {
+            return SameCanonicalForm(candidate.recovery,
+                                     result.recoveries[k]);
+          });
+      if (duplicate) {
+        candidate.recovery = Instance();  // free it while it is warm
+        result.stats.num_dedup_exact++;
         if (obs::EventsEnabled()) {
           obs::Emit("recovery.deduped",
                     {{"cover", static_cast<int64_t>(candidate.cover_index)}},
@@ -712,7 +745,9 @@ Status RunInverseChase(const DependencySet& sigma, const Instance& target,
                    {"atoms",
                     static_cast<int64_t>(candidate.recovery.size())}});
       }
+      bucket.push_back(result.recoveries.size());
       result.recoveries.push_back(std::move(candidate.recovery));
+      invariants.push_back(candidate.invariant);
       if (result.recoveries.size() > options.max_recoveries) {
         Status full = obs::BudgetExhausted({"inverse_chase.recoveries",
                                             options.max_recoveries,
@@ -722,6 +757,7 @@ Status RunInverseChase(const DependencySet& sigma, const Instance& target,
         // Partial mode respects the cap: drop the overflow candidate
         // (and its explanation) so the prefix honors max_recoveries.
         result.recoveries.pop_back();
+        invariants.pop_back();
         if (options.explain &&
             result.explanations.size() == result.recoveries.size() + 1) {
           result.explanations.pop_back();
@@ -733,35 +769,38 @@ Status RunInverseChase(const DependencySet& sigma, const Instance& target,
     }
     if (merge_truncated) break;
   }
+  // Free the candidate lists (moved-from shells now) here, inside the
+  // merge phase's time.
+  for (CoverOutcome& outcome : outcomes) {
+    std::vector<VerifiedCandidate>().swap(outcome.candidates);
+  }
 
-  // Optional isomorphism dedup (CanonicalString already catches most
-  // duplicates; this pass removes relabel-resistant ones). Explanations
-  // stay aligned by keeping each class's first representative.
+  // Isomorphism dedup (the exact pass already caught equal canonical
+  // forms; this one removes relabel-resistant duplicates). Only
+  // candidates with equal invariants are searched, and the first
+  // representative of each class is kept, so explanations stay aligned.
   if (options.dedup_isomorphic && result.recoveries.size() > 1) {
-    std::vector<Instance> unique;
-    std::vector<RecoveryExplanation> unique_explanations;
-    for (size_t i = 0; i < result.recoveries.size(); ++i) {
-      Instance& candidate = result.recoveries[i];
-      bool duplicate = false;
-      for (const Instance& kept : unique) {
-        if (AreIsomorphic(candidate, kept)) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (duplicate) {
-        if (obs::EventsEnabled()) {
-          obs::Emit("recovery.deduped", {}, {{"stage", "isomorphism"}});
-        }
-        continue;
-      }
-      unique.push_back(std::move(candidate));
-      if (options.explain) {
-        unique_explanations.push_back(std::move(result.explanations[i]));
+    std::vector<size_t> kept = IsomorphismRepresentatives(
+        result.recoveries, invariants, &result.stats.num_iso_checks);
+    result.stats.num_dedup_isomorphic = result.recoveries.size() - kept.size();
+    if (obs::EventsEnabled()) {
+      for (size_t i = 0; i < result.stats.num_dedup_isomorphic; ++i) {
+        obs::Emit("recovery.deduped", {}, {{"stage", "isomorphism"}});
       }
     }
-    result.recoveries = std::move(unique);
-    result.explanations = std::move(unique_explanations);
+    if (result.stats.num_dedup_isomorphic > 0) {
+      std::vector<Instance> unique;
+      std::vector<RecoveryExplanation> unique_explanations;
+      unique.reserve(kept.size());
+      for (size_t i : kept) {
+        unique.push_back(std::move(result.recoveries[i]));
+        if (options.explain) {
+          unique_explanations.push_back(std::move(result.explanations[i]));
+        }
+      }
+      result.recoveries = std::move(unique);
+      result.explanations = std::move(unique_explanations);
+    }
   }
   result.stats.seconds_merge = phase_sw.ElapsedSeconds();
   result.stats.seconds_total = total_sw.ElapsedSeconds();

@@ -135,6 +135,12 @@ struct InverseChaseStats {
   // Non-ground targets whose justification search ran out of budget; such
   // candidates are dropped conservatively.
   size_t num_candidates_unverified = 0;
+  // Merge dedup: candidates removed as exact duplicates (same canonical
+  // form) and as isomorphic to an earlier recovery, and the AreIsomorphic
+  // calls the isomorphism pass made (only within invariant buckets).
+  size_t num_dedup_exact = 0;
+  size_t num_dedup_isomorphic = 0;
+  size_t num_iso_checks = 0;
 
   // Per-phase wall time, mirroring the pipeline's obs spans (the stable
   // summary view over the trace; see docs/OBSERVABILITY.md). Per-cover

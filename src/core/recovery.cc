@@ -1,7 +1,9 @@
 #include "core/recovery.h"
 
+#include <algorithm>
 #include <functional>
 #include <unordered_set>
+#include <vector>
 
 #include "base/fresh.h"
 #include "chase/chase.h"
@@ -15,6 +17,69 @@ bool SatisfiesPair(const DependencySet& sigma, const Instance& source,
   return Satisfies(sigma, source, target);
 }
 
+namespace {
+
+// True if `fact` is the image of `pattern` under `s`.
+bool IsImage(const Atom& pattern, const Substitution& s, const Atom& fact) {
+  if (pattern.relation() != fact.relation() ||
+      pattern.arity() != fact.arity()) {
+    return false;
+  }
+  for (uint32_t pos = 0; pos < pattern.arity(); ++pos) {
+    if (s.Apply(pattern.arg(pos)) != fact.arg(pos)) return false;
+  }
+  return true;
+}
+
+// Collects into *forced (cleared first) the target atoms that every match
+// of the trigger (tgd, h) maps the head onto; false when the head has no
+// match in `target` (the trigger is unsatisfied). A full tgd's head is
+// fixed by h, so its only possible match is h itself and containment
+// decides. Otherwise the matches are enumerated and intersected (heads
+// are a few atoms, so a small vector filtered in place), stopping once
+// nothing is forced.
+bool ForcedHeadAtoms(const Tgd& tgd, const Substitution& h,
+                     const Instance& target, HomSearchOptions* head_options,
+                     std::vector<Atom>* forced) {
+  forced->clear();
+  if (tgd.IsFull()) {
+    for (const Atom& a : tgd.head()) {
+      Atom image = a.Apply(h);
+      if (!target.Contains(image)) return false;
+      if (std::find(forced->begin(), forced->end(), image) == forced->end()) {
+        forced->push_back(std::move(image));
+      }
+    }
+    return true;
+  }
+  head_options->fixed = h;
+  bool matched = false;
+  ForEachHomomorphism(
+      tgd.head(), target, *head_options, [&](const Substitution& match) {
+        if (!matched) {
+          matched = true;
+          for (const Atom& a : tgd.head()) {
+            Atom image = a.Apply(match);
+            if (std::find(forced->begin(), forced->end(), image) ==
+                forced->end()) {
+              forced->push_back(std::move(image));
+            }
+          }
+        } else {
+          std::erase_if(*forced, [&](const Atom& c) {
+            for (const Atom& a : tgd.head()) {
+              if (IsImage(a, match, c)) return false;
+            }
+            return true;
+          });
+        }
+        return !forced->empty();
+      });
+  return matched;
+}
+
+}  // namespace
+
 bool IsMinimalSolution(const DependencySet& sigma, const Instance& source,
                        const Instance& target, InstanceLayout layout) {
   // J is minimal iff removing any single tuple breaks satisfaction
@@ -22,47 +87,25 @@ bool IsMinimalSolution(const DependencySet& sigma, const Instance& source,
   // non-removable iff some trigger's head matches *all* contain t, so J
   // is minimal iff every tuple lies in the match-intersection of some
   // trigger. Computing those intersections directly (with early exit
-  // once an intersection empties) avoids |J| full re-checks.
+  // once an intersection empties) avoids |J| full re-checks. The search
+  // options and the intersection buffer are built once, not per trigger.
   std::unordered_set<Atom, AtomHash> needed;
+  HomSearchOptions body_options;
+  body_options.layout = layout;
+  HomSearchOptions head_options;
+  head_options.layout = layout;
+  std::vector<Atom> forced;
   for (TgdId id = 0; id < sigma.size(); ++id) {
     const Tgd& tgd = sigma.at(id);
     bool all_triggers_satisfied = true;
-    HomSearchOptions body_options;
-    body_options.layout = layout;
     ForEachHomomorphism(
-        tgd.body(), source, body_options,
-        [&](const Substitution& h) {
-          HomSearchOptions head_options;
-          head_options.fixed = h;
-          head_options.layout = layout;
-          bool first = true;
-          std::unordered_set<Atom, AtomHash> common;
-          ForEachHomomorphism(
-              tgd.head(), target, head_options,
-              [&](const Substitution& match) {
-                std::unordered_set<Atom, AtomHash> atoms;
-                for (const Atom& a : tgd.head()) {
-                  atoms.insert(a.Apply(match));
-                }
-                if (first) {
-                  common = std::move(atoms);
-                  first = false;
-                } else {
-                  std::unordered_set<Atom, AtomHash> kept;
-                  for (const Atom& a : common) {
-                    if (atoms.count(a) > 0) kept.insert(a);
-                  }
-                  common = std::move(kept);
-                }
-                // Stop enumerating matches once nothing is forced.
-                return !common.empty();
-              });
-          if (first) {
+        tgd.body(), source, body_options, [&](const Substitution& h) {
+          if (!ForcedHeadAtoms(tgd, h, target, &head_options, &forced)) {
             // No head match at all: (I, J) violates Sigma.
             all_triggers_satisfied = false;
             return false;
           }
-          for (const Atom& a : common) needed.insert(a);
+          for (Atom& a : forced) needed.insert(std::move(a));
           return true;
         });
     if (!all_triggers_satisfied) return false;

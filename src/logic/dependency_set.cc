@@ -9,7 +9,7 @@ TgdId DependencySet::Add(Tgd tgd) {
   Substitution renaming;
   for (Term v : tgd.all_vars()) {
     if (used_vars_.count(v) > 0) {
-      renaming.Set(v, FreshVariable(v.ToString()));
+      renaming.Set(v, FreshVariable());
     }
   }
   if (!renaming.empty()) tgd = tgd.Apply(renaming);

@@ -81,7 +81,7 @@ size_t DisjunctiveMapping::Add(DisjunctiveTgd tgd) {
   }
   for (Term v : vars) {
     if (used_vars_.count(v) > 0) {
-      renaming.Set(v, FreshVariable(v.ToString()));
+      renaming.Set(v, FreshVariable());
     }
   }
   if (!renaming.empty()) {

@@ -103,7 +103,7 @@ Tgd Tgd::Apply(const Substitution& renaming) const {
 Tgd Tgd::RenameApart(Substitution* out_renaming) const {
   Substitution renaming;
   for (Term v : all_vars_) {
-    renaming.Set(v, FreshVariable(v.ToString()));
+    renaming.Set(v, FreshVariable());
   }
   if (out_renaming != nullptr) *out_renaming = renaming;
   return Apply(renaming);

@@ -3,6 +3,7 @@
 #ifndef DXREC_RELATIONAL_INSTANCE_OPS_H_
 #define DXREC_RELATIONAL_INSTANCE_OPS_H_
 
+#include <cstdint>
 #include <string>
 #include <utility>
 
@@ -43,6 +44,35 @@ Instance CanonicalizeNullLabels(const Instance& input);
 // calls on equal-up-to-chosen-labels instances with the same atom ordering
 // yield the same string.
 std::string CanonicalString(const Instance& input);
+
+// Order-independent 64-bit hash of the atom set of
+// CanonicalizeNullLabels(input): instances with the same canonical form
+// hash alike, so it buckets candidates before SameCanonicalForm decides.
+// Null-free instances skip the relabeling (it is the identity on them).
+uint64_t CanonicalHash(const Instance& input);
+
+// CanonicalizeNullLabels(a) == CanonicalizeNullLabels(b), comparing
+// null-free instances directly.
+bool SameCanonicalForm(const Instance& a, const Instance& b);
+
+// A cheap isomorphism invariant: an order-independent 64-bit hash of the
+// multiset of atoms with every null replaced by one wildcard (relations,
+// arities, constants and positions kept). An isomorphism renames nulls
+// bijectively onto nulls and fixes constants, so it maps each atom onto
+// one with the same wildcard image: isomorphic null/constant instances
+// have equal hashes, and only instances with equal hashes need the
+// exact search. Variables are different: AreIsomorphic may map a
+// variable onto a constant, so an instance containing one is flagged
+// (and its hash carries no isomorphism guarantee).
+struct IsoInvariant {
+  uint64_t hash = 0;
+  bool has_variables = false;
+
+  friend bool operator==(const IsoInvariant& a, const IsoInvariant& b) {
+    return a.hash == b.hash && a.has_variables == b.has_variables;
+  }
+};
+IsoInvariant IsomorphismInvariant(const Instance& input);
 
 }  // namespace dxrec
 

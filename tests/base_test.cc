@@ -141,10 +141,18 @@ TEST(Fresh, GlobalSourceAdvances) {
 }
 
 TEST(Fresh, FreshVariablesAreDistinct) {
-  Term a = FreshVariable("x");
-  Term b = FreshVariable("x");
+  Term a = FreshVariable();
+  Term b = FreshVariable();
   EXPECT_NE(a, b);
   EXPECT_TRUE(a.is_variable());
+  EXPECT_NE(a, Term::Variable(a.ToString()));  // parsed names stay apart
+}
+
+TEST(Fresh, FreshVariablesAreNotInterned) {
+  const size_t before = Symbols().variables.size();
+  for (int i = 0; i < 100; ++i) FreshVariable();
+  EXPECT_EQ(Symbols().variables.size(), before);
+  EXPECT_EQ(FreshVariable().ToString()[0], '$');
 }
 
 TEST(Substitution, ApplyDefaultsToIdentity) {
